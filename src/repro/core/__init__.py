@@ -3,9 +3,11 @@
 * :mod:`repro.core.tracing` — graph-building contexts (``FuncGraph``)
   and the ``init_scope`` escape (paper §4.6–4.7).
 * :mod:`repro.core.function` — the polymorphic ``function`` decorator:
-  two-level trace cache (exact + shape-relaxed), binding-time analysis,
-  input signatures, lexical closure capture, state-creation contract
-  (§4.6).
+  binding-time analysis, input signatures, lexical closure capture,
+  state-creation contract (§4.6).
+* :mod:`repro.core.trace_cache` — the one trace-cache policy (exact LRU
+  + shape relaxation) behind ``function``, lazy segments and TPU
+  programs.
 * :mod:`repro.core.pipeline` — the staged-compilation pipeline
   (trace → infer → optimize → plan → compile) with symbolic-shape
   specialization.

@@ -24,16 +24,16 @@ The moving parts, each mirroring a paragraph of §4.6:
 * **Tape integration** — calling a concrete function under a watching
   tape runs the *forward* variant (outputs + intermediates) and records
   a custom backward that invokes a staged backward function (§4.2).
-* **Shape relaxation** — the trace cache is two-level.  The first level
-  is an exact LRU map over concrete signatures.  On repeated shape-only
-  misses of the same dtype/rank pattern, the second level installs a
-  single *symbolic* trace whose varying dimensions are generalized to
-  ``None`` (``experimental_relax_shapes`` / ``REPRO_RELAX_SHAPES``);
-  further calls with any compatible shape hit that one trace.  Each
-  trace flows through the staged-compilation pipeline
-  (:mod:`repro.core.pipeline`): trace → infer → optimize → plan →
-  compile, with per-concrete-shape XLA specialization under a symbolic
-  trace.
+* **Shape relaxation** — traces live in a
+  :class:`~repro.core.trace_cache.TraceCache`: an exact LRU level over
+  concrete signatures, plus one *symbolic* trace per dtype/rank pattern
+  after repeated shape-only misses, whose varying dimensions are
+  generalized to ``None`` (``experimental_relax_shapes`` /
+  ``REPRO_RELAX_SHAPES``); further calls with any compatible shape hit
+  that one trace.  Each trace flows through the staged-compilation
+  pipeline (:mod:`repro.core.pipeline`): trace → infer → optimize →
+  plan → compile, with per-concrete-shape XLA specialization under a
+  symbolic trace.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.framework import dtypes, nest
+from repro.framework.tensor_shape import as_shape
 from repro.framework.errors import (
     FailedPreconditionError,
     InvalidArgumentError,
@@ -58,6 +59,7 @@ from repro.runtime.context import context
 from repro.tensor import Tensor, TensorBase, TensorSpec, convert_to_tensor
 from repro.core import tracing
 from repro.core.pipeline import CompilationPipeline
+from repro.core.trace_cache import TraceCache
 from repro.core.variables import Variable, variable_creation_observer
 from repro.graph.function import GraphFunction
 
@@ -66,106 +68,8 @@ __all__ = [
     "Function",
     "ConcreteFunction",
     "RetraceWarning",
-    "SegmentCache",
     "reset_retrace_warning_state",
 ]
-
-
-class SegmentCache:
-    """Two-level cache of compiled lazy-trace segments.
-
-    The lazy executor (:mod:`repro.runtime.lazy`) hashes every flushed
-    segment — op list, attributes, dataflow references, fetch mask, and
-    external-input signature — and looks the artifact up here, reusing
-    the ``Function`` trace cache's two-level policy:
-
-    * **Exact level**: ``(structural key, concrete external shapes) →
-      artifact``, LRU-ordered and bounded by
-      ``context.trace_cache_size``; evicted artifacts have ``release()``
-      called so their execution plans are dropped.
-    * **Relaxed level**: one shape-relaxed artifact per structural key,
-      installed after ``context.relax_retraces`` shape-only misses of
-      the same structure.  Execution plans are shape-polymorphic, so a
-      single relaxed artifact (placeholder dims generalized to ``None``)
-      serves every concrete shape the structure admits — the
-      steady-state training loop with varying batch sizes compiles
-      once.
-
-    Artifacts are anything with a ``release()`` method; the cache never
-    inspects them.  All methods are thread-safe.
-    """
-
-    def __init__(self) -> None:
-        self._exact: collections.OrderedDict = collections.OrderedDict()
-        self._relaxed: dict = {}
-        self._shape_misses: dict = {}
-        self._lock = threading.Lock()
-        self._stats = {
-            "hits": 0,
-            "misses": 0,
-            "evictions": 0,
-            "relaxations": 0,
-        }
-
-    def lookup(self, structural_key, shapes) -> tuple:
-        """Return ``(artifact or None, build_relaxed)``.
-
-        ``build_relaxed`` asks the caller to compile the miss with
-        relaxed (``None``-dimension) external specs and insert it via
-        ``insert(..., relaxed=True)``: the structure has now missed on
-        shapes alone ``context.relax_retraces`` times.
-        """
-        with self._lock:
-            artifact = self._exact.get((structural_key, shapes))
-            if artifact is not None:
-                self._exact.move_to_end((structural_key, shapes))
-                self._stats["hits"] += 1
-                return artifact, False
-            artifact = self._relaxed.get(structural_key)
-            if artifact is not None:
-                self._stats["hits"] += 1
-                return artifact, False
-            self._stats["misses"] += 1
-            seen = self._shape_misses.get(structural_key, 0) + 1
-            self._shape_misses[structural_key] = seen
-            return None, seen > context.relax_retraces
-
-    def insert(self, structural_key, shapes, artifact, relaxed: bool = False) -> None:
-        """Add a compiled artifact, evicting LRU entries past the bound."""
-        with self._lock:
-            if relaxed:
-                old = self._relaxed.pop(structural_key, None)
-                if old is not None:
-                    old.release()
-                self._relaxed[structural_key] = artifact
-                self._shape_misses.pop(structural_key, None)
-                self._stats["relaxations"] += 1
-                return
-            self._exact[(structural_key, shapes)] = artifact
-            limit = context.trace_cache_size
-            while len(self._exact) > limit:
-                _, evicted = self._exact.popitem(last=False)
-                evicted.release()
-                self._stats["evictions"] += 1
-
-    def clear(self) -> None:
-        with self._lock:
-            for artifact in self._exact.values():
-                artifact.release()
-            for artifact in self._relaxed.values():
-                artifact.release()
-            self._exact.clear()
-            self._relaxed.clear()
-            self._shape_misses.clear()
-            for key in self._stats:
-                self._stats[key] = 0
-
-    def stats(self) -> dict:
-        """Hit/miss/eviction/relaxation counters plus current size."""
-        with self._lock:
-            stats = dict(self._stats)
-            stats["size"] = len(self._exact) + len(self._relaxed)
-            return stats
 
 
 class RetraceWarning(UserWarning):
@@ -263,12 +167,6 @@ class ConcreteFunction:
         self.num_explicit_inputs = num_explicit_inputs
         self.jit_compile = jit_compile
         self.pipeline = pipeline if pipeline is not None else CompilationPipeline()
-        # XLA executables per concrete input-shape tuple.  A fully static
-        # trace has exactly one entry (key None); a symbolic (relaxed)
-        # trace lazily specializes one executable per shape it actually
-        # sees, all under this single trace.  ``False`` marks
-        # uncompilable (e.g. py_func inside; fall back to the plan).
-        self._compiled_cache: dict = {}
         self._compile_lock = threading.Lock()
         self._forward_backward = None
         self._fb_lock = threading.Lock()
@@ -316,49 +214,24 @@ class ConcreteFunction:
 
     @property
     def _compiled(self):
-        """The executable of a fully static trace (compat accessor).
-
-        Symbolic traces hold one executable per concrete shape in
-        ``_compiled_cache``; this view exposes the single static-shape
-        entry the way the pre-pipeline attribute did (None = not yet
-        compiled, False = uncompilable).
-        """
-        return self._compiled_cache.get(None)
-
-    def _compile_key(self, full_inputs: list):
-        """Per-shape cache key: None when this trace is fully static."""
-        if all(spec.is_fully_defined for spec in self.graph_function.input_specs):
-            return None
-        return tuple(t.shape.as_tuple() for t in full_inputs)
+        """The executable of a fully static trace (None = not yet
+        compiled, False = uncompilable); symbolic traces keep one per
+        concrete shape on their graph function."""
+        compiled = self.graph_function._executables.get(None)
+        return False if isinstance(compiled, Exception) else compiled
 
     def _get_compiled(self, full_inputs: list):
         """The XLA-sim executable for these inputs (None if uncompilable).
 
-        XLA needs static shapes (its cost model and fusion heuristics
-        consume byte counts), so a symbolic trace is specialized to the
-        concrete input shapes via the pipeline before compiling; the
-        resulting executable is cached per shape tuple.
+        The pipeline specializes a symbolic trace to the inputs' shapes
+        and caches one executable per shape on the graph function.
         """
-        key = self._compile_key(full_inputs)
-        with self._compile_lock:
-            compiled = self._compiled_cache.get(key)
-            if compiled is None:
-                from repro.framework.errors import UnimplementedError
+        from repro.framework.errors import UnimplementedError
 
-                try:
-                    if key is None:
-                        compiled = self.pipeline.compile(self.graph_function)
-                    else:
-                        compiled = self.pipeline.compile(
-                            self.graph_function,
-                            input_specs=[
-                                TensorSpec(t.shape, t.dtype) for t in full_inputs
-                            ],
-                        )
-                except UnimplementedError:
-                    compiled = False  # e.g. py_func inside; fall back
-                self._compiled_cache[key] = compiled
-        return compiled or None
+        try:
+            return self.pipeline.compile(self.graph_function, full_inputs)
+        except UnimplementedError:
+            return None  # e.g. py_func inside; run the plan instead
 
     def _note_shapes(self, full_inputs: list) -> None:
         """Remember the concrete shapes a symbolic trace runs with."""
@@ -413,13 +286,12 @@ class ConcreteFunction:
     def release(self) -> None:
         """Drop derived artifacts so an evicted trace frees its memory.
 
-        Clears the per-shape compiled executables, the forward/backward
-        gradient graphs, the rematerializing backward, and the execution
-        plan.  All are rebuilt lazily if the trace is ever called again,
-        so releasing is safe even while callers hold a reference.
+        Clears the forward/backward gradient graphs, the rematerializing
+        backward, and the execution plan with its per-shape compiled
+        executables.  All are rebuilt lazily if the trace is ever called
+        again, so releasing is safe even while callers hold a reference.
         """
         with self._compile_lock:
-            self._compiled_cache.clear()
             self._specialized_plans.clear()
         with self._fb_lock:
             if not isinstance(self._forward_backward, Exception):
@@ -588,6 +460,26 @@ def _leaf_key(leaf):
     return ("value", type(leaf).__name__, leaf)
 
 
+def _pattern_key(key: tuple) -> tuple:
+    """``(pattern, shapes)``: the cache key with tensor leaves abstracted
+    to (dtype, rank), and those leaves' shapes.
+
+    Two exact keys with the same pattern differ only in tensor
+    *shapes* — exactly the retraces the relaxation policy is allowed to
+    collapse into one symbolic trace.
+    """
+    pattern = [key[0]]  # device
+    shapes = []
+    for leaf in key[1:]:
+        if isinstance(leaf, tuple) and leaf and leaf[0] == "tensor":
+            shape = as_shape(leaf[2])
+            shapes.append(shape)
+            pattern.append(("tensor", leaf[1], shape.rank))
+        else:
+            pattern.append(leaf)
+    return tuple(pattern), tuple(shapes)
+
+
 def _is_tensor_leaf(leaf) -> bool:
     # TensorSpec counts: a spec leaf stands in for a tensor argument at
     # trace time (get_concrete_function with symbolic shapes).
@@ -596,16 +488,6 @@ def _is_tensor_leaf(leaf) -> bool:
 
 def _contains_spec(structure) -> bool:
     return any(isinstance(leaf, TensorSpec) for leaf in nest.flatten(structure))
-
-
-class _RelaxedTrace:
-    """A symbolic trace plus the (possibly widened) specs it was traced at."""
-
-    __slots__ = ("specs", "concrete")
-
-    def __init__(self, specs: list, concrete: ConcreteFunction) -> None:
-        self.specs = specs
-        self.concrete = concrete
 
 
 class Function:
@@ -633,34 +515,23 @@ class Function:
         )
         self._experimental_relax_shapes = experimental_relax_shapes
         self._pipeline = CompilationPipeline()
-        # Level 1: exact concrete signatures, LRU-ordered (most recently
-        # used last).  Bounded by ``context.trace_cache_size``.
-        self._cache: collections.OrderedDict = collections.OrderedDict()
-        # Level 2: one symbolic trace per dtype/rank pattern, installed
-        # by the relaxation policy.  Bounded by pattern diversity.
-        self._relaxed: dict = {}
-        # Shape-only misses per pattern, with the running most-general
-        # merge of the concrete specs seen so far.
-        self._pattern_seen: dict = {}
-        # Level 0: (device, dtype/shape per arg) -> where the full
-        # binding-time analysis routed that call.  Serves the common
-        # steady-state call — all-positional eager tensors, no kwargs —
-        # without flatten/bind/key construction (§4.6's lookup cost).
+        self._lock = threading.RLock()
+        # Exact traces by binding-time key, plus one symbolic trace per
+        # dtype/rank pattern.  Shares ``_lock``, held across lookup,
+        # trace and insert so each signature traces once.
+        self._traces = TraceCache(self._lock)
+        # Level 0: (device, dtype/shape per arg) -> the cache lookup
+        # (key, pattern, shapes) the full binding-time analysis built
+        # for that call.  Serves the common steady-state call —
+        # all-positional eager tensors, no kwargs — without
+        # flatten/bind/key construction (§4.6's lookup cost).
         self._fast_keys: dict = {}
-        self._stats = {
-            "hits": 0,
-            "misses": 0,
-            "traces": 0,
-            "relaxations": 0,
-            "evictions": 0,
-        }
         self._recent_traces: collections.deque = collections.deque(
             maxlen=_RETRACE_WINDOW
         )
         self._call_index = 0
         self._last_warn_index: Optional[int] = None
         self._last_trace_key: Optional[tuple] = None
-        self._lock = threading.RLock()
         self._trace_count = 0
         self._created_variables: list[Variable] = []
         self._lifted_initializer_done = False
@@ -693,10 +564,9 @@ class Function:
         by the LRU bound.  ``size`` is the current number of live traces
         across both levels.
         """
-        with self._lock:
-            stats = dict(self._stats)
-            stats["size"] = len(self._cache) + len(self._relaxed)
-            return stats
+        stats = self._traces.stats()
+        stats["traces"] = self._trace_count
+        return stats
 
     def execution_stats(self, profile=None) -> dict:
         """Graph-execution statistics for every live trace.
@@ -757,12 +627,8 @@ class Function:
                 "input_bytes_is_lower_bound": input_lb,
             }
 
-        with self._lock:
-            concretes = list(self._cache.values()) + [
-                entry.concrete for entry in self._relaxed.values()
-            ]
         traces = []
-        for concrete in concretes:
+        for concrete in self._traces.artifacts():
             trace = describe("forward", concrete.graph_function)
             trace["trace"] = concrete.name
             with concrete._compile_lock:
@@ -864,28 +730,19 @@ class Function:
     def _lookup_fast(self, fast_key) -> Optional[ConcreteFunction]:
         """Serve a previously-routed call shape without rebuilding keys.
 
-        Routes point into the exact or relaxed cache rather than at a
-        concrete directly, so eviction and relaxed-trace widening keep
-        working: a dangling route simply falls back to the slow path,
-        which re-records it.
+        Routes replay a cache lookup rather than pointing at a concrete
+        directly, so eviction and relaxed-trace widening keep working: a
+        dangling route simply falls back to the slow path, which
+        re-records it.
         """
         with self._lock:
             route = self._fast_keys.get(fast_key)
             if route is None:
                 return None
-            kind, key = route
-            if kind == "exact":
-                concrete = self._cache.get(key)
-                if concrete is None:
-                    return None
-                self._cache.move_to_end(key)
-            else:
-                entry = self._relaxed.get(key)
-                if entry is None:
-                    return None
-                concrete = entry.concrete
+            concrete = self._traces.hit(*route)
+            if concrete is None:
+                return None
             self._call_index += 1
-            self._stats["hits"] += 1
             self._recent_traces.append(False)
             return concrete
 
@@ -928,20 +785,15 @@ class Function:
         key = self._cache_key(flat)
         with self._lock:
             self._call_index += 1
-            concrete = self._cache.get(key)
+            concrete, _ = self._traces.lookup(key)
             if concrete is not None:
-                self._cache.move_to_end(key)
-                self._stats["hits"] += 1
                 return concrete
-            self._stats["misses"] += 1
             concrete = self._trace(args, kwargs, [], override_specs=specs)
-            self._insert_exact(key, concrete)
+            self._traces.insert(key, concrete)
             self._last_trace_key = key
             if any(not s.is_fully_defined for s in specs):
-                pk = self._pattern_key(key)
-                if pk not in self._relaxed:
-                    self._relaxed[pk] = _RelaxedTrace(list(specs), concrete)
-                    self._stats["relaxations"] += 1
+                pattern, shapes = _pattern_key(key)
+                self._traces.insert_relaxed(pattern, shapes, concrete, replace=False)
         return concrete
 
     # -- binding-time analysis ----------------------------------------------
@@ -980,23 +832,6 @@ class Function:
             key.append(_leaf_key(leaf))
         return tuple(key)
 
-    def _pattern_key(self, key: tuple) -> tuple:
-        """The cache key with tensor leaves abstracted to (dtype, rank).
-
-        Two exact keys with the same pattern differ only in tensor
-        *shapes* — exactly the retraces the relaxation policy is allowed
-        to collapse into one symbolic trace.
-        """
-        pattern = [key[0]]  # device
-        for leaf in key[1:]:
-            if isinstance(leaf, tuple) and leaf and leaf[0] == "tensor":
-                dtype, shape = leaf[1], leaf[2]
-                rank = shape.rank if hasattr(shape, "rank") else len(shape)
-                pattern.append(("tensor", dtype, rank))
-            else:
-                pattern.append(leaf)
-        return tuple(pattern)
-
     def _relax_enabled(self) -> bool:
         if self._input_signature is not None:
             return False  # the signature already pins one relaxed trace
@@ -1007,8 +842,8 @@ class Function:
     def _maybe_trace(self, args, kwargs):
         """Resolve a call to ``(concrete, tensor_leaves, route)``.
 
-        ``route`` names the cache slot that served the call (for the
-        level-0 fast-key map) or is None when the call is not routable.
+        ``route`` is the cache lookup that served the call (for the
+        level-0 fast-key map) or None when the call is not routable.
         It is *returned*, never stored on the instance: concurrent
         callers each get their own route, so one thread's miss cannot
         cross-wire another thread's fast-key recording.
@@ -1018,98 +853,33 @@ class Function:
             return self._trace_with_signature(args, kwargs)
         flat_leaves, tensor_leaves = self._split_leaves(args, kwargs)
         key = self._cache_key(flat_leaves)
+        pattern, shapes = _pattern_key(key)
+        route = (key, pattern, shapes)
         with self._lock:
             self._call_index += 1
-            concrete = self._cache.get(key)
+            concrete, relaxed = self._traces.lookup(
+                key, pattern, shapes, self._relax_enabled()
+            )
             if concrete is not None:
-                self._cache.move_to_end(key)
-                self._stats["hits"] += 1
                 self._recent_traces.append(False)
-                return concrete, tensor_leaves, ("exact", key)
-            if self._relax_enabled() or self._relaxed:
-                concrete = self._lookup_relaxed(key, args, kwargs, tensor_leaves)
-                if concrete is not None:
-                    return concrete, tensor_leaves, ("relaxed", self._pattern_key(key))
-            self._stats["misses"] += 1
+                return concrete, tensor_leaves, route
             self._recent_traces.append(True)
-            self._maybe_warn_retrace(key)
-            concrete = self._trace(args, kwargs, tensor_leaves)
-            self._insert_exact(key, concrete)
-            self._last_trace_key = key
-        return concrete, tensor_leaves, ("exact", key)
-
-    def _lookup_relaxed(
-        self, key, args, kwargs, tensor_leaves
-    ) -> Optional[ConcreteFunction]:
-        """Second cache level: serve, widen, or install a symbolic trace.
-
-        Called under the lock on an exact-cache miss.  Returns None when
-        the relaxation policy decides an exact trace should happen
-        instead (pattern not yet seen often enough).
-        """
-        pk = self._pattern_key(key)
-        entry = self._relaxed.get(pk)
-        if entry is not None:
-            if len(tensor_leaves) == len(entry.specs) and all(
-                t.shape.is_subtype_of(spec.shape)
-                for t, spec in zip(tensor_leaves, entry.specs)
-            ):
-                self._stats["hits"] += 1
-                self._recent_traces.append(False)
-                return entry.concrete
-            if not self._relax_enabled():
-                # The entry was installed explicitly (a symbolic
-                # get_concrete_function); incompatible shapes take a
-                # normal exact trace rather than widening it.
-                return None
-            # Incompatible with the current symbolic specs (e.g. a dim
-            # that had been stable so far started varying): widen and
-            # retrace once; the evicted trace releases its artifacts.
-            widened = [
-                spec.most_general(TensorSpec.from_tensor(t))
-                for spec, t in zip(entry.specs, tensor_leaves)
+            if relaxed is None:
+                self._maybe_warn_retrace(key)
+                concrete = self._trace(args, kwargs, tensor_leaves)
+                self._traces.insert(key, concrete)
+                self._last_trace_key = key
+                return concrete, tensor_leaves, route
+            # Shape-only misses of this pattern (or a shape its symbolic
+            # trace does not admit): trace once at the merged shapes,
+            # whose varying dimensions are None.
+            specs = [
+                TensorSpec(shape, t.dtype)
+                for shape, t in zip(relaxed, tensor_leaves)
             ]
-            self._stats["misses"] += 1
-            self._recent_traces.append(True)
-            concrete = self._trace(args, kwargs, tensor_leaves, override_specs=widened)
-            entry.concrete.release()
-            self._relaxed[pk] = _RelaxedTrace(widened, concrete)
-            self._stats["relaxations"] += 1
-            return concrete
-        if not self._relax_enabled():
-            return None
-        seen = self._pattern_seen.get(pk)
-        current = [TensorSpec.from_tensor(t) for t in tensor_leaves]
-        if seen is None:
-            # First sighting of this pattern: remember it; the caller
-            # performs a normal exact trace.
-            self._pattern_seen[pk] = [0, current]
-            return None
-        seen[0] += 1
-        seen[1] = [old.most_general(new) for old, new in zip(seen[1], current)]
-        if seen[0] < context.relax_retraces:
-            return None
-        # K shape-only retraces of this pattern: generalize the varying
-        # dimensions to None and trace once, symbolically.
-        relaxed_specs = seen[1]
-        self._stats["misses"] += 1
-        self._recent_traces.append(True)
-        concrete = self._trace(
-            args, kwargs, tensor_leaves, override_specs=relaxed_specs
-        )
-        self._relaxed[pk] = _RelaxedTrace(relaxed_specs, concrete)
-        self._stats["relaxations"] += 1
-        del self._pattern_seen[pk]
-        return concrete
-
-    def _insert_exact(self, key, concrete: ConcreteFunction) -> None:
-        """Add to the exact level, evicting LRU entries past the bound."""
-        self._cache[key] = concrete
-        limit = context.trace_cache_size
-        while len(self._cache) > limit:
-            _, evicted = self._cache.popitem(last=False)
-            evicted.release()
-            self._stats["evictions"] += 1
+            concrete = self._trace(args, kwargs, tensor_leaves, override_specs=specs)
+            self._traces.insert_relaxed(pattern, relaxed, concrete)
+        return concrete, tensor_leaves, route
 
     def _maybe_warn_retrace(self, key: tuple) -> None:
         """Rate-limited churn warning, naming the differing key leaf."""
@@ -1158,16 +928,12 @@ class Function:
         key = ("signature", context.current_device_name())
         with self._lock:
             self._call_index += 1
-            concrete = self._cache.get(key)
+            concrete, _ = self._traces.lookup(key)
             if concrete is None:
-                self._stats["misses"] += 1
                 concrete = self._trace(
                     tuple(tensors), {}, tensors, override_specs=list(specs)
                 )
-                self._cache[key] = concrete
-            else:
-                self._cache.move_to_end(key)
-                self._stats["hits"] += 1
+                self._traces.insert(key, concrete)
         return concrete, tensors, None
 
     # -- tracing -----------------------------------------------------------
@@ -1183,7 +949,7 @@ class Function:
         with variable_creation_observer(created.append):
             concrete = self._trace_once(args, kwargs, specs)
         if created:
-            if self._trace_count > 1 or self._cache or self._relaxed:
+            if self._trace_count > 1 or len(self._traces):
                 raise FailedPreconditionError(
                     f"Function {self._name!r} created new variables on a "
                     "non-initial trace. State must only be created the first "
@@ -1218,7 +984,6 @@ class Function:
 
     def _trace_once(self, args, kwargs, specs) -> ConcreteFunction:
         self._trace_count += 1
-        self._stats["traces"] += 1
         marked_args, marked_kwargs = self._mark_tensors(args, kwargs)
         name = f"{self._name}_{context.unique_id()}"
         graph, flat_outputs, structure = self._pipeline.trace(
@@ -1251,7 +1016,7 @@ class Function:
     def __repr__(self) -> str:
         return (
             f"<repro.function {self._name!r} with "
-            f"{len(self._cache) + len(self._relaxed)} traces>"
+            f"{len(self._traces)} traces>"
         )
 
 

@@ -27,8 +27,8 @@ makes those stages explicit, ordered, and reusable:
   shape first: :func:`CompilationPipeline.specialize` replays the traced
   graph under concrete input specs — re-running shape inference and
   constant propagation, *without* re-executing any Python — and the
-  caller keeps a per-shape executable cache under the one symbolic
-  trace.
+  graph function keeps one executable per concrete shape, released with
+  its plan.  ``jit_compile`` and the TPU bridge share that cache.
 
 This is the binding-time structure LazyTensor-style systems converge
 on: bind Python early (one trace), bind shapes late (per-shape
@@ -221,24 +221,22 @@ class CompilationPipeline:
         self.plan(fn).label_errors = True
         return fn
 
-    def compile(
-        self,
-        fn,
-        input_specs: Optional[Sequence[TensorSpec]] = None,
-        fuse: bool = True,
-    ):
-        """Compile ``fn`` to an XLA-sim executable.
+    def compile(self, fn, input_specs: Optional[Sequence] = None, compiler=None):
+        """Compile ``fn`` to an XLA-sim executable, once per concrete shape.
 
-        When ``input_specs`` is given and the function's own signature
-        is not fully static, the function is specialized to those
-        concrete shapes first.  Callers cache the result per shape
-        tuple; see :class:`repro.core.function.ConcreteFunction`.
+        When the function's own signature is not fully static, it is
+        specialized to the concrete shapes of ``input_specs`` (specs or
+        tensors) first.  The result is cached on ``fn``
+        (:meth:`~repro.graph.function.GraphFunction.executable`): one
+        executable per concrete input-shape tuple, released with the
+        plan.  ``compiler`` defaults to
+        :func:`repro.xla.compiler.compile_function`.  Raises
+        ``UnimplementedError`` when ``fn`` cannot be compiled.
         """
-        from repro.xla.compiler import compile_function
+        if compiler is None:
+            from repro.xla.compiler import compile_function as compiler
 
-        target = fn
-        if input_specs is not None and not all(
-            spec.is_fully_defined for spec in fn.input_specs
-        ):
-            target = self.specialize(fn, input_specs)
-        return compile_function(target, fuse=fuse)
+        return fn.executable(
+            input_specs,
+            lambda specs: compiler(fn if specs is None else self.specialize(fn, specs)),
+        )

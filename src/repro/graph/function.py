@@ -15,7 +15,7 @@ from __future__ import annotations
 import threading
 from typing import Optional, Sequence
 
-from repro.framework.errors import InvalidArgumentError
+from repro.framework.errors import InvalidArgumentError, UnimplementedError
 from repro.framework.tensor_shape import TensorShape
 from repro.ops.registry import register_gradient, register_op
 from repro.tensor import Tensor, TensorSpec
@@ -72,6 +72,11 @@ class GraphFunction:
         self.output_specs = [TensorSpec(t.shape, t.dtype) for t in self.outputs]
         self._runner = None
         self._plan_lock = threading.Lock()
+        # XLA executables by concrete input-shape tuple (None for a
+        # static signature); see :meth:`executable`.
+        self._executables: dict = {}
+        self._static: Optional[bool] = None
+        self._compile_lock = threading.Lock()
 
     @property
     def contains_py_func(self) -> bool:
@@ -105,8 +110,43 @@ class GraphFunction:
         return runner
 
     def release_plan(self) -> None:
-        """Drop the cached execution plan (rebuilt on next use)."""
+        """Drop the cached execution plan and XLA executables (rebuilt on
+        next use)."""
         self._runner = None
+        self._executables = {}
+        self._static = None  # input specs may have been refined
+
+    def executable(self, inputs, build):
+        """The XLA executable for ``inputs`` (tensors or specs), built once.
+
+        A static signature has one executable, built by ``build(None)``.
+        A symbolic one has one per concrete input-shape tuple, built by
+        ``build(specs)`` at the inputs' specs (``inputs`` None keys like
+        a static call).  The executables live and die with this function
+        and are dropped with its plan, so one never outlives or outruns
+        the graph it was compiled from.  An ``UnimplementedError`` from
+        ``build`` (e.g. a ``py_func`` inside) is cached and re-raised.
+        """
+        if self._static is None:
+            self._static = all(spec.is_fully_defined for spec in self.input_specs)
+        key = None
+        if not self._static and inputs is not None:
+            key = tuple(t.shape.as_tuple() for t in inputs)
+        with self._compile_lock:
+            executable = self._executables.get(key)
+            if executable is None:
+                try:
+                    executable = build(
+                        None
+                        if key is None
+                        else [TensorSpec(t.shape, t.dtype) for t in inputs]
+                    )
+                except UnimplementedError as exc:
+                    executable = exc
+                self._executables[key] = executable
+        if isinstance(executable, UnimplementedError):
+            raise executable.with_traceback(None)
+        return executable
 
     def run(self, args: Sequence[Tensor], parallel: bool = False) -> list[Tensor]:
         """Execute the graph on concrete inputs; returns concrete outputs.
@@ -129,7 +169,7 @@ class GraphFunction:
         """
         from repro.graph.optimize import optimize_function
 
-        self._runner = None  # plan must be rebuilt after rewriting
+        self.release_plan()  # plan must be rebuilt after rewriting
         return optimize_function(self, passes)
 
     def definition(self) -> dict:

@@ -413,11 +413,12 @@ class Context:
 
     @property
     def trace_cache_size(self) -> int:
-        """Per-``Function`` bound on cached exact-signature traces.
+        """Bound on the exact level of every trace cache.
 
-        The trace cache is LRU-bounded so shape-diverse serving traffic
-        cannot grow it (and the compiled artifacts hanging off each
-        trace) without limit.  Initialised from
+        Each ``Function``, the lazy segment cache and the TPU one-op
+        program cache is a :class:`~repro.core.trace_cache.TraceCache`,
+        LRU-bounded so shape-diverse traffic cannot grow it (and the
+        compiled artifacts hanging off each entry) without limit.  Initialised from
         ``REPRO_TRACE_CACHE_SIZE`` (default 256).  Applies to caches
         created afterwards and to existing caches on their next insert.
         """

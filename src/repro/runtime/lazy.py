@@ -23,9 +23,12 @@ recording.
 **Flush = hash → cache → compile → run.**  The flush hashes the
 recorded segment (op list, attributes, dataflow references, fetch mask,
 external-input signature) and looks it up in a process-wide
-:class:`~repro.core.function.SegmentCache` — the same two-level
-exact/relaxed LRU policy as the ``Function`` trace cache.  On a miss
-the segment is lowered through
+:class:`~repro.core.trace_cache.TraceCache` — the ``Function`` trace
+cache's policy, keyed by the segment hash and its external-input
+shapes.  A segment that keeps recurring with varying shapes relaxes
+to one artifact at the merged shapes (only the varying dimensions
+become ``None``), widened once more if a later shape falls outside
+them.  On a miss the segment is lowered through
 :meth:`~repro.core.pipeline.CompilationPipeline.compile_segment`
 (optimize → fuse → plan), so a steady-state training loop hits a
 compiled, fused, memory-planned artifact on every step.  Only *live*
@@ -312,16 +315,19 @@ class LazyTrace:
                 self._replay(recs)  # unhashable attrs: run uncached
                 return
             structural, shapes = key
-            artifact, build_relaxed = _segment_cache.lookup(structural, shapes)
+            artifact, relaxed = _segment_cache.lookup(
+                key, structural, shapes, relax=True
+            )
             cache_hit = artifact is not None
             if artifact is None:
-                artifact = self._compile(recs, fetches, build_relaxed)
+                artifact = self._compile(recs, fetches, relaxed)
                 if artifact is None:
                     self._replay(recs)  # lowering failed: run uncached
                     return
-                _segment_cache.insert(
-                    structural, shapes, artifact, relaxed=build_relaxed
-                )
+                if relaxed is None:
+                    _segment_cache.insert(key, artifact)
+                else:
+                    _segment_cache.insert_relaxed(structural, relaxed, artifact)
             try:
                 values = artifact.fn.run(self.ext)
             except BaseException:  # noqa: BLE001 - diagnosed by the replay
@@ -356,11 +362,14 @@ class LazyTrace:
             if prof is not None:
                 prof.add_lazy_flush(len(recs), cache_hit)
 
-    def _compile(self, recs, fetches, relaxed: bool):
-        specs = []
-        for t in self.ext:
-            spec = _spec_mod().from_tensor(t)
-            specs.append(spec.relaxed() if relaxed else spec)
+    def _compile(self, recs, fetches, relaxed):
+        """Lower the segment at the external inputs' own shapes, or at
+        ``relaxed`` shapes (one per external input)."""
+        TensorSpec = _spec_mod()
+        if relaxed is None:
+            specs = [TensorSpec.from_tensor(t) for t in self.ext]
+        else:
+            specs = [TensorSpec(s, t.dtype) for s, t in zip(relaxed, self.ext)]
         try:
             fn = _pipeline.compile_segment(
                 f"lazy_segment_{context.unique_id()}",
@@ -370,12 +379,17 @@ class LazyTrace:
             )
         except BaseException:  # noqa: BLE001 - replay surfaces the real error
             return None
-        if relaxed:
+        if relaxed is not None:
             _stats["relaxed_segments"] += 1
         return _SegmentArtifact(fn)
 
     def _segment_key(self, recs, fetches):
-        """``(structural_key, shapes)`` for the cache, or None if unhashable."""
+        """``(structural_key, shapes)`` for the cache, or None if unhashable.
+
+        The whole pair is the exact key; the structural part (which
+        keeps each external input's dtype and rank) is the pattern
+        that relaxes over shapes.
+        """
         struct = []
         for rec in recs:
             akey = _attrs_key(rec.attrs)
@@ -508,9 +522,9 @@ def _make_pipeline():
 
 
 def _make_cache():
-    from repro.core.function import SegmentCache
+    from repro.core.trace_cache import TraceCache
 
-    return SegmentCache()
+    return TraceCache()
 
 
 def _profiler_mod():

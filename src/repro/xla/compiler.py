@@ -101,6 +101,9 @@ class CompiledExecutable:
         device.count_kernel_launch()
         return [env[root] for root in self.computation.roots]
 
+    def release(self) -> None:
+        """Trace-cache eviction hook: an executable owns no derived state."""
+
     def __repr__(self) -> str:
         return (
             f"<CompiledExecutable {self.name!r}: "
@@ -121,8 +124,7 @@ def compile_function(
     require every dimension to be known.  A symbolic (relaxed) trace
     must be specialized to concrete input shapes first —
     :meth:`repro.core.pipeline.CompilationPipeline.compile` does this
-    and callers keep a per-shape executable cache under the one
-    symbolic trace.
+    and caches one executable per shape on the graph function.
     """
     for spec in fn.input_specs:
         if not spec.is_fully_defined:

@@ -7,37 +7,42 @@ bridges the runtime to the compiler:
   operations on a TPU using TensorFlow Eager ... but the overhead of
   compiling operations for TPU and dispatching the generated code is
   significant" (paper §4.4).  Each distinct (op, signature) compiles
-  once into a one-op program (cached), but *every execution* pays the
+  once into a one-op program, held in a
+  :class:`~repro.core.trace_cache.TraceCache` (LRU-bounded by
+  ``context.trace_cache_size``), but *every execution* pays the
   program-launch overhead — the mechanism behind Table 1's slow
   imperative rows.
 
 * **Whole-function execution** — a ``PartitionedCall`` landing on the
   TPU compiles the callee into a single program; one launch then covers
   the entire training step ("when amortized over a large graph
-  function, this overhead becomes negligible").
+  function, this overhead becomes negligible").  The program is cached
+  on the callee itself through the compilation pipeline, one per
+  concrete input shape, so a shape-relaxed trace specializes per shape
+  exactly as under ``jit_compile``.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Sequence
 
 import numpy as np
 
+from repro.core.pipeline import CompilationPipeline
+from repro.core.trace_cache import TraceCache
 from repro.framework import dtypes
 from repro.framework.errors import UnimplementedError
 from repro.ops import registry
 from repro.runtime import dispatch
 from repro.runtime.device import Device
 from repro.tensor import Tensor, TensorSpec
-from repro.graph.function import GraphFunction, placeholder
+from repro.graph.function import GraphFunction
 from repro.xla.compiler import CompiledExecutable, compile_function
 
 __all__ = ["install", "uninstall", "compile_cache_stats"]
 
-_op_cache: dict = {}
-_fn_cache: dict = {}
-_cache_lock = threading.Lock()
+_op_programs = TraceCache()
+_pipeline = CompilationPipeline()
 _stats = {"op_compiles": 0, "fn_compiles": 0, "launches": 0}
 
 
@@ -65,13 +70,11 @@ def _attr_cache_key(attrs: dict) -> tuple:
 def _single_op_program(op_name: str, inputs, attrs: dict) -> CompiledExecutable:
     """Build (or fetch) the one-op program for an eager TPU dispatch."""
     key = (op_name, _signature(inputs), _attr_cache_key(attrs))
-    with _cache_lock:
-        prog = _op_cache.get(key)
+    prog, _ = _op_programs.lookup(key)
     if prog is not None:
         return prog
     from repro.core.tracing import FuncGraph
     from repro.runtime.executor import execute
-    from repro.runtime.context import context
 
     graph = FuncGraph(name=f"tpu_{op_name}")
     with graph.as_default():
@@ -84,30 +87,24 @@ def _single_op_program(op_name: str, inputs, attrs: dict) -> CompiledExecutable:
         outputs = (outputs,) if outputs is not None else ()
     fn = GraphFunction(f"tpu_{op_name}", graph, inputs=phs, outputs=list(outputs))
     prog = compile_function(fn)
-    with _cache_lock:
-        _op_cache[key] = prog
+    with _op_programs.lock:
+        _op_programs.insert(key, prog)
         _stats["op_compiles"] += 1
     return prog
 
 
-def _function_program(fn: GraphFunction) -> CompiledExecutable:
-    with _cache_lock:
-        prog = _fn_cache.get(id(fn))
-    if prog is not None:
-        return prog
-    prog = compile_function(fn)
-    with _cache_lock:
-        _fn_cache[id(fn)] = prog
+def _compile_callee(fn: GraphFunction) -> CompiledExecutable:
+    with _op_programs.lock:  # also guards the counters
         _stats["fn_compiles"] += 1
-    return prog
+    return compile_function(fn)
 
 
 def run_op_on_tpu(device: Device, op_name: str, inputs: Sequence, attrs: dict) -> list:
     """The compiled-op runner installed into the eager executor."""
     inputs = list(inputs)
     if op_name == "PartitionedCall":
-        prog = _function_program(attrs["f"])
         fn = attrs["f"]
+        prog = _pipeline.compile(fn, inputs, compiler=_compile_callee)
         out_specs = fn.output_specs
     else:
         if not registry.has_kernel(op_name, "CPU"):
@@ -154,7 +151,8 @@ def uninstall() -> None:
 
 
 def reset_caches() -> None:
-    with _cache_lock:
-        _op_cache.clear()
-        _fn_cache.clear()
+    """Drop the per-op programs and zero the counters (callee programs
+    live on their graph functions)."""
+    with _op_programs.lock:
+        _op_programs.clear()
         _stats.update({"op_compiles": 0, "fn_compiles": 0, "launches": 0})

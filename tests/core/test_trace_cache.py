@@ -1,6 +1,7 @@
 """The two-level trace cache: relaxation, LRU bounds, stats, diagnostics.
 
-Covers the shape-relaxation policy (paper §4.6's binding-time analysis,
+Covers the `TraceCache` policy on its own, then as `Function` uses it:
+the shape-relaxation policy (paper §4.6's binding-time analysis,
 generalized so shapes can be bound *late*), the LRU bound on the exact
 level, `cache_stats()`, the rate-limited `RetraceWarning`, and the
 thread-safety of first-call tracing (including the two-trace
@@ -17,11 +18,114 @@ import pytest
 
 import repro
 from repro.core.function import RetraceWarning
+from repro.core.trace_cache import TraceCache
+from repro.framework.tensor_shape import TensorShape
 from repro.runtime.context import context
 
 
 def _batch(b, n=4):
     return repro.constant(np.arange(b * n, dtype=np.float32).reshape(b, n))
+
+
+class _Artifact:
+    def __init__(self, name):
+        self.name = name
+        self.released = False
+
+    def release(self):
+        self.released = True
+
+
+def _shapes(*dims):
+    return tuple(TensorShape(d) for d in dims)
+
+
+class TestTraceCachePolicy:
+    def test_exact_hit(self):
+        cache = TraceCache()
+        assert cache.lookup("k") == (None, None)
+        artifact = _Artifact("k")
+        cache.insert("k", artifact)
+        assert cache.lookup("k") == (artifact, None)
+        assert cache.hit("k") is artifact
+        assert cache.hit("other") is None  # no miss counted
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"], stats["size"]) == (2, 1, 1)
+
+    def test_lru_eviction_releases(self):
+        context.trace_cache_size = 2
+        cache = TraceCache()
+        artifacts = {k: _Artifact(k) for k in "abc"}
+        cache.insert("a", artifacts["a"])
+        cache.insert("b", artifacts["b"])
+        cache.lookup("a")  # touch: "b" is now least recently used
+        cache.insert("c", artifacts["c"])
+        assert artifacts["b"].released
+        assert not artifacts["a"].released and not artifacts["c"].released
+        assert cache.lookup("b") == (None, None)
+        assert cache.stats()["evictions"] == 1
+        assert cache.stats()["size"] == 2
+
+    def test_relaxes_after_relax_retraces_shape_only_misses(self):
+        context.relax_retraces = 2
+        cache = TraceCache()
+        seen = [_shapes([2, 4]), _shapes([3, 4]), _shapes([5, 4])]
+        for i, shapes in enumerate(seen[:2]):
+            assert cache.lookup(("k", i), "p", shapes, relax=True) == (None, None)
+            cache.insert(("k", i), _Artifact(i))
+        artifact, relaxed = cache.lookup(("k", 2), "p", seen[2], relax=True)
+        assert artifact is None
+        assert relaxed == _shapes([None, 4])  # only the varying dim
+        symbolic = _Artifact("relaxed")
+        cache.insert_relaxed("p", relaxed, symbolic)
+        assert cache.lookup(("k", 9), "p", _shapes([9, 4])) == (symbolic, None)
+        # A different pattern, or relaxation off, never relaxes.
+        assert cache.lookup(("k", 8), "q", _shapes([8, 4]), relax=True) == (
+            None,
+            None,
+        )
+        stats = cache.stats()
+        assert stats["relaxations"] == 1
+        assert (stats["hits"], stats["misses"]) == (1, 4)
+
+    def test_incompatible_shape_widens_and_releases(self):
+        cache = TraceCache()
+        old = _Artifact("old")
+        cache.insert_relaxed("p", _shapes([None, 4]), old)
+        # Without ``relax`` the entry serves only what it admits.
+        assert cache.lookup("k", "p", _shapes([3, 6])) == (None, None)
+        artifact, widened = cache.lookup("k", "p", _shapes([3, 6]), relax=True)
+        assert artifact is None and widened == _shapes([None, None])
+        new = _Artifact("new")
+        cache.insert_relaxed("p", widened, new)
+        assert old.released and not new.released
+        assert cache.lookup("k2", "p", _shapes([7, 1])) == (new, None)
+        assert cache.stats()["relaxations"] == 2
+        assert cache.stats()["size"] == 1
+
+    def test_explicit_install_keeps_existing_entry(self):
+        cache = TraceCache()
+        first, second = _Artifact(1), _Artifact(2)
+        cache.insert_relaxed("p", _shapes([None]), first)
+        cache.insert_relaxed("p", _shapes([None]), second, replace=False)
+        assert cache.hit("k", "p", _shapes([3])) is first
+        assert not first.released
+
+    def test_clear_releases_everything(self):
+        cache = TraceCache()
+        exact, relaxed = _Artifact("e"), _Artifact("r")
+        cache.insert("k", exact)
+        cache.insert_relaxed("p", _shapes([None]), relaxed)
+        cache.lookup("k")
+        cache.clear()
+        assert exact.released and relaxed.released
+        assert cache.stats() == {
+            "hits": 0,
+            "misses": 0,
+            "relaxations": 0,
+            "evictions": 0,
+            "size": 0,
+        }
 
 
 class TestRelaxation:

@@ -169,6 +169,21 @@ class TestSegmentCache:
         assert _delta(before, "cache_relaxations") >= 1
         assert _delta(before, "cache_hits") >= 1
 
+    def test_incompatible_shape_widens_relaxed_segment_once(self, lazy_mode):
+        # [4,3] compiles exactly; [5,3] relaxes to [None,3] (the stable
+        # dim stays pinned); [5,7] falls outside it and widens once to
+        # [None,None], which then serves [6,9] without compiling.
+        before = _snapshot()
+        for shape in ((4, 3), (5, 3), (5, 7), (6, 9)):
+            x = repro.constant(np.full(shape, 2.0, np.float32))
+            out = (x * 2.0 + 1.0).numpy()
+            np.testing.assert_allclose(out, np.full(shape, 5.0))
+        assert _delta(before, "cache_misses") == 3
+        assert _delta(before, "cache_relaxations") == 2
+        assert _delta(before, "relaxed_segments") == 2
+        assert _delta(before, "cache_hits") == 1
+        assert _delta(before, "cache_size") == 2  # exact [4,3] + one relaxed
+
     def test_dead_recorded_work_is_elided(self, lazy_mode):
         before = _snapshot()
         x = repro.constant([1.0, 2.0])

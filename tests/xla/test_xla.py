@@ -1,5 +1,8 @@
 """XLA-sim: lowering, fusion, compiled execution, and the TPU bridge."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -174,3 +177,78 @@ class TestTPUBridge:
                 y = f(x)
             g = tape.gradient(y, v)
         assert float(g) == pytest.approx(12.0)
+
+
+class TestTPUProgramCaches:
+    """Callee programs live on their graph function; one-op programs sit
+    in an LRU-bounded trace cache."""
+
+    def test_callee_program_dies_with_its_function(self, monkeypatch):
+        compiled = []
+        original = tpu.compile_function
+
+        def spy(fn, *args, **kwargs):
+            exe = original(fn, *args, **kwargs)
+            if not fn.name.startswith("tpu_"):  # skip one-op programs
+                compiled.append(weakref.ref(exe))
+            return exe
+
+        monkeypatch.setattr(tpu, "compile_function", spy)
+        f = repro.function(lambda x: x * 3.0)
+        x = repro.constant([1.0, 2.0])
+        with repro.device("/tpu:0"):
+            out = f(x)
+        np.testing.assert_allclose(out.numpy(), [3.0, 6.0])
+        assert len(compiled) == 1 and compiled[0]() is not None
+        del f, out
+        gc.collect()
+        assert compiled[0]() is None
+
+    def test_fresh_functions_never_run_a_stale_program(self):
+        x = repro.constant(1.0)
+        for i in range(300):
+            scale = float(i)
+            f = repro.function(lambda t: t * scale)
+            with repro.device("/tpu:0"):
+                out = f(x)
+            assert float(out) == scale
+
+    def test_relaxed_trace_specializes_per_shape_on_tpu(self):
+        @repro.function(experimental_relax_shapes=True)
+        def f(x):
+            return repro.tanh(x) * 2.0 + 1.0
+
+        before = tpu.compile_cache_stats()["fn_compiles"]
+        for b in (2, 4, 6, 4):
+            x = repro.constant(np.random.rand(b, 3).astype(np.float32))
+            with repro.device("/tpu:0"):
+                out = f(x)
+            expected = repro.tanh(x) * 2.0 + 1.0  # eager, on the CPU
+            np.testing.assert_allclose(out.numpy(), expected.numpy(), rtol=1e-6)
+        assert f.trace_count == 2
+        # One program for the exact batch-2 trace, one per shape under
+        # the symbolic trace; the repeated batch 4 compiles nothing.
+        assert tpu.compile_cache_stats()["fn_compiles"] - before == 3
+        with repro.device("/tpu:0"):
+            concrete = f.get_concrete_function(x)
+        assert concrete.graph_function.input_specs[0].shape.dims == (None, 3)
+        assert set(concrete.graph_function._executables) == {((4, 3),), ((6, 3),)}
+
+    def test_op_programs_are_lru_bounded(self):
+        tpu.reset_caches()
+        context.trace_cache_size = 2
+        x = repro.constant([1.0, 2.0])
+        ops = (lambda t: t * 2.0, lambda t: t + 1.0, lambda t: t - 1.0)
+        expected = ([2.0, 4.0], [2.0, 3.0], [0.0, 1.0])
+        for op, want in zip(ops, expected):
+            with repro.device("/tpu:0"):
+                out = op(x)
+            np.testing.assert_allclose(out.numpy(), want)
+        stats = tpu._op_programs.stats()
+        assert tpu.compile_cache_stats()["op_compiles"] == 3
+        assert stats["evictions"] == 1 and stats["size"] == 2
+        # The evicted (least recently used) program recompiles on demand.
+        with repro.device("/tpu:0"):
+            out = ops[0](x)
+        np.testing.assert_allclose(out.numpy(), expected[0])
+        assert tpu.compile_cache_stats()["op_compiles"] == 4
