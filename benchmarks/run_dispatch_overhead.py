@@ -8,6 +8,9 @@ for the unified dispatch core:
 
 * **eager**   — per-op wall time of a tiny ``Add`` executed imperatively
   (kernel cost is negligible, so this is nearly pure dispatch).
+* **taped**   — the same ``Add`` under an open ``GradientTape`` watching
+  its input, so every op is also recorded: the regime of a training
+  step such as Fig 4's L2HMC (reported, not gated).
 * **graph**   — per-node wall time of a pre-planned ``GraphRunner``
   executing a chain of tiny ``Add`` nodes (the staged fast path).
 * **numpy**   — the raw ``np.add`` call on the same operands, as the
@@ -66,6 +69,18 @@ def measure_eager_us(iterations: int, repeats: int) -> float:
     x = repro.constant(np.float32(1.0))
     add = repro.add
     return _bench(lambda: add(x, x), iterations, repeats) * 1e6
+
+
+def measure_eager_taped_us(iterations: int, repeats: int) -> float:
+    """Eager per-op cost while a tape records every op (fresh tape per repeat)."""
+    x = repro.constant(np.float32(1.0))
+    add = repro.add
+    best = float("inf")
+    for _ in range(repeats):
+        with repro.GradientTape() as tape:
+            tape.watch(x)
+            best = min(best, _bench(lambda: add(x, x), iterations, 1))
+    return best * 1e6
 
 
 def measure_graph_us(chain_length: int, iterations: int, repeats: int) -> float:
@@ -150,6 +165,7 @@ def main() -> int:
     measure_eager_us(100, 1)
     numpy_us = measure_numpy_us(iterations, repeats)
     eager_us = measure_eager_us(iterations, repeats)
+    taped_us = measure_eager_taped_us(iterations, repeats)
     graph_us = measure_graph_us(args.chain_length, graph_iters, repeats)
 
     print("per-op dispatch overhead (scalar Add, smaller is better)")
@@ -158,6 +174,7 @@ def main() -> int:
     for label, value in (
         ("numpy", numpy_us),
         ("eager", eager_us),
+        ("taped", taped_us),
         ("graph", graph_us),
     ):
         print(f"{label:<12}{value:>10.2f}{value / numpy_us:>10.1f}")
@@ -231,6 +248,7 @@ def main() -> int:
         metrics={
             "numpy_us_per_op": numpy_us,
             "eager_us_per_op": eager_us,
+            "eager_taped_us_per_op": taped_us,
             "graph_us_per_node": graph_us,
             "branchy_serial_ms": branchy_serial_s * 1e3,
             "branchy_parallel_ms": branchy_parallel_s * 1e3,

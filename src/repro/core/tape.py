@@ -25,6 +25,9 @@ from repro.tensor import Tensor, TensorBase
 
 __all__ = ["GradientTape", "OpRecord"]
 
+_RESOURCE = dtypes.resource
+_VARIANT = dtypes.variant
+
 
 @dataclass
 class OpRecord:
@@ -86,13 +89,14 @@ class GradientTape:
     def should_record(self, inputs: Sequence) -> bool:
         if self._paused:
             return False
+        watched = self._watched
         for t in inputs:
-            if id(t) in self._watched:
+            if id(t) in watched:
                 return True
             if (
                 self._watch_accessed_variables
                 and isinstance(t, TensorBase)
-                and t.dtype == dtypes.resource
+                and t.dtype is _RESOURCE
             ):
                 return True
         return False
@@ -109,28 +113,25 @@ class GradientTape:
             return
         if op_name == "ReadVariableOp":
             self._note_variable_read(inputs[0])
-        differentiable = [
-            t for t in outputs if isinstance(t, TensorBase) and t.dtype.is_differentiable
-        ]
-        handles = [
-            t
-            for t in outputs
-            if isinstance(t, TensorBase) and t.dtype in (dtypes.resource, dtypes.variant)
-        ]
-        if not differentiable and not handles:
-            return
-        self._records.append(
-            OpRecord(op_name, attrs, list(inputs), list(outputs), backward_function)
-        )
-        for t in differentiable:
-            self._watched.add(id(t))
-        for t in handles:
-            self._watched.add(id(t))
+        # Watch the differentiable outputs and the resource/variant
+        # handles; one dtype read per output (this runs once per taped op).
+        watched = self._watched
+        kept = False
+        for t in outputs:
+            if isinstance(t, TensorBase):
+                dt = t.dtype
+                if dt.is_differentiable or dt is _RESOURCE or dt is _VARIANT:
+                    watched.add(id(t))
+                    kept = True
+        if kept:
+            self._records.append(
+                OpRecord(op_name, attrs, list(inputs), list(outputs), backward_function)
+            )
 
     def _note_variable_read(self, handle) -> None:
         self._watched.add(id(handle))
         var = None
-        if isinstance(handle, Tensor) and handle.dtype == dtypes.resource:
+        if isinstance(handle, Tensor) and handle.dtype is _RESOURCE:
             var = handle.resource_value()
         if var is not None:
             self._watched_variables[id(handle)] = var

@@ -89,8 +89,10 @@ class DType:
         return int(np.iinfo(self._np_dtype).max)
 
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if isinstance(other, DType):
-            return self._name == other._name
+            return False  # interned: equal DTypes are the same object
         try:
             return self._np_dtype == np.dtype(other)  # type: ignore[arg-type]
         except TypeError:
@@ -102,8 +104,11 @@ class DType:
             return result
         return not result
 
-    def __hash__(self) -> int:
-        return hash(self._name)
+    # Interning makes identity the equality between DTypes, so the hash
+    # is the C-level identity hash: signature tuples of dtypes key the
+    # kernel cache and trace caches without a Python-level call per
+    # element.
+    __hash__ = object.__hash__
 
     def __reduce__(self):
         # DTypes are interned singletons compared by identity in hot

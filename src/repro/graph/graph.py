@@ -196,10 +196,24 @@ class Graph:
 
     # -- naming ------------------------------------------------------------
     def unique_name(self, base: str) -> str:
+        """``base``, or ``base_N`` for the next ``N`` naming no node yet.
+
+        Every name handed out is recorded, so an explicitly requested
+        ``"Neg_1"`` and a generated one never collide (replayed graphs,
+        e.g. defused ones, keep their old node names).
+        """
         with self._lock:
-            count = self._names.get(base, 0)
-            self._names[base] = count + 1
-        return base if count == 0 else f"{base}_{count}"
+            names = self._names
+            count = names.get(base, 0)
+            name = base
+            if count:
+                name = f"{base}_{count}"
+                while name in names:
+                    count += 1
+                    name = f"{base}_{count}"
+                names.setdefault(name, 1)
+            names[base] = count + 1
+        return name
 
     # -- device scoping ------------------------------------------------------
     def push_device(self, name: Optional[str]) -> None:

@@ -99,8 +99,6 @@ def _convert(x, dtype=None):
 
 
 def _binary(op_name: str, x, y):
-    from repro.ops import execute_binary
-
     return execute_binary(op_name, x, y)
 
 
@@ -136,16 +134,12 @@ def _sum_to_shape_kernel(inputs, attrs, device):
 
 @register_gradient("SumToShape")
 def _sum_to_shape_grad(op, grad):
-    from repro.ops import array_ops
-
     x = op.inputs[0]
     return [array_ops.broadcast_to(grad, array_ops.shape(x)), None]
 
 
 def _sum_to_like(grad, x):
     """Reduce a broadcasting-op gradient back to the shape of ``x``."""
-    from repro.ops import array_ops
-
     gshape, xshape = grad.shape, x.shape
     if gshape.is_fully_defined and xshape.is_fully_defined:
         if gshape == xshape:
@@ -243,8 +237,6 @@ def _tiny_like(t):
 
 def where_nonpositive_zero(x, value):
     """``value`` where x > 0, else 0 (helper for the Pow gradient)."""
-    from repro.ops import array_ops
-
     return array_ops.where(greater(x, _zeros_like_scalar(x)), value, _zeros_like_scalar(x))
 
 
@@ -266,8 +258,6 @@ register_kernel("Maximum")(simple_kernel(np.maximum))
 
 @register_gradient("Maximum")
 def _maximum_grad(op, grad):
-    from repro.ops import array_ops
-
     x, y = op.inputs
     mask = greater_equal(x, y)
     zero = _zeros_like_scalar(grad)
@@ -282,8 +272,6 @@ register_kernel("Minimum")(simple_kernel(np.minimum))
 
 @register_gradient("Minimum")
 def _minimum_grad(op, grad):
-    from repro.ops import array_ops
-
     x, y = op.inputs
     mask = less_equal(x, y)
     zero = _zeros_like_scalar(grad)
@@ -533,8 +521,6 @@ register_kernel("ClipByValue")(simple_kernel(np.clip))
 
 @register_gradient("ClipByValue")
 def _clip_grad(op, grad):
-    from repro.ops import array_ops
-
     x, lo, hi = op.inputs
     inside = logical_and(greater_equal(x, lo), less_equal(x, hi))
     zero = _zeros_like_scalar(grad)
@@ -641,8 +627,6 @@ def _sum_kernel(inputs, attrs, device):
 
 def _grad_broadcast_to_input(op, grad):
     """Reshape a reduction gradient to keepdims form, then broadcast."""
-    from repro.ops import array_ops
-
     x = op.inputs[0]
     xshape = x.shape
     if xshape.is_fully_defined:
@@ -703,8 +687,6 @@ def _mean_grad(op, grad):
         factor = convert_to_tensor(num_x // num_out, dtype=grad.dtype)
         scaled = grad / factor
     else:
-        from repro.ops import array_ops
-
         size_x = cast(array_ops.size(x), grad.dtype)
         size_out = cast(array_ops.size(out), grad.dtype)
         scaled = grad * (size_out / size_x)
@@ -731,8 +713,6 @@ def _min_kernel(inputs, attrs, device):
 
 def _minmax_grad(op, grad):
     """Gradient for Max/Min: split grad evenly across tied extrema."""
-    from repro.ops import array_ops
-
     x = op.inputs[0]
     out = op.outputs[0]
     kshape = reduced_shape(x.shape, op.attrs.get("axis"), keepdims=True)
@@ -1061,8 +1041,6 @@ def cast(x, dtype):
 def clip_by_value(x, clip_value_min, clip_value_max):
     """Clamp values into ``[clip_value_min, clip_value_max]``."""
     x = _convert(x)
-    from repro.ops import convert_operand
-
     lo = convert_operand(clip_value_min, like=x)
     hi = convert_operand(clip_value_max, like=x)
     return execute("ClipByValue", [x, lo, hi])
@@ -1135,8 +1113,6 @@ def reduce_logsumexp(x, axis=None, keepdims: bool = False):
     """Numerically stable ``log(sum(exp(x)))`` (composite op)."""
     x = _convert(x)
     m = reduce_max(x, axis=axis, keepdims=True)
-    from repro.ops import array_ops
-
     stopped = array_ops.stop_gradient(m)
     out = log(reduce_sum(exp(x - stopped), axis=axis, keepdims=True)) + stopped
     if not keepdims:
@@ -1248,8 +1224,6 @@ def einsum(equation: str, *operands):
 
 def tensordot(a, b, axes):
     """Tensor contraction over the given axes (composite of reshape+matmul)."""
-    from repro.ops import array_ops
-
     a, b = _convert(a), _convert(b)
     if isinstance(axes, int):
         a_axes = list(range(a.shape.rank - axes, a.shape.rank))
@@ -1273,3 +1247,11 @@ def tensordot(a, b, axes):
     )
     out_shape = [a_dims[i] for i in a_free] + [b_dims[i] for i in b_free]
     return array_ops.reshape(out, out_shape)
+
+
+# Bound once, after everything above is defined: the ``repro.ops``
+# package imports this module while it is still initializing, and
+# array_ops' gradient rules import this module back.  The gradient
+# helpers above run thousands of times per training step, so they use
+# these module globals instead of re-running an import per call.
+from repro.ops import array_ops, convert_operand, execute_binary  # noqa: E402

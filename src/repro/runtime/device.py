@@ -350,14 +350,17 @@ class Device:
                 )
         return buf
 
-    def wrap_output(self, array: np.ndarray) -> np.ndarray:
+    def wrap_output(self, array: np.ndarray, launches: int = 0) -> np.ndarray:
         """Adopt a kernel-produced array as a device buffer without copying.
 
         Safe because every tensor buffer in the system is read-only:
         kernel outputs either own fresh memory or are views of other
         read-only buffers.  Only statistics are updated; the expensive
         defensive copy in :meth:`allocate` is for *user-provided*
-        arrays, which may alias writable memory.
+        arrays, which may alias writable memory.  ``launches`` kernel
+        launches are counted under the same lock acquisition (the
+        eager dispatch path's one accounting call per single-array
+        result).
         """
         if array.flags.writeable:
             if array.base is not None and array.base.flags.writeable:
@@ -366,6 +369,7 @@ class Device:
         # Remote workers and strategy replicas update these concurrently
         # with coordinator-thread dispatches, so the stats take the lock.
         with self._lock:
+            self._kernel_launches += launches
             self._bytes_in_use += array.nbytes
             self._num_allocations += 1
             if self._bytes_in_use > self._peak_bytes:

@@ -6,18 +6,34 @@ modes, and staging wins only by amortizing per-op Python overhead.
 This module is that shared runtime boundary.  Both the eager executor
 (:mod:`repro.runtime.executor`) and the graph executor
 (:mod:`repro.graph.executor`) funnel every kernel launch through
-:meth:`DispatchCore.dispatch`, which
+:meth:`DispatchCore.dispatch`.
 
-1. resolves the target device once via the shared placement rule
-   (explicit request wins, else the device of the first non-CPU tensor
-   input, else the CPU),
-2. resolves the kernel through a cache keyed by ``(op_name,
-   device_kind, input_dtypes)`` so the hot path is a single dict hit
-   instead of registry probing per op, and
-3. runs a small **interceptor stack** — profiler, op records for
-   gradient tapes, future tracing/metrics — as registered hooks rather
-   than inlined ``if`` checks.  With no interceptor registered the
-   per-op cost of the whole mechanism is one emptiness check.
+Because the paper's small-op regime (Fig 4's L2HMC, "made of many tiny
+ops") is bound by per-op Python cost, an eager op does each piece of
+work at most once:
+
+1. **One pass over the inputs** (:meth:`DispatchCore._walk_eager_inputs`)
+   collects the dtype signature, rejects symbolic and non-tensor
+   inputs, and applies the shared placement rule (explicit request
+   wins, else the device of the first non-CPU tensor input, else the
+   CPU).  The sync path, :meth:`DispatchCore.dispatch_async` and the
+   lazy fallback all use it; graph nodes use :meth:`resolve_device`.
+2. **One kernel-cache probe** through :meth:`resolve_kernel`, keyed by
+   ``(op_name, device_kind, input_dtypes, backend)``.  DTypes are
+   interned and hash by identity, so a hit makes no Python-level call.
+3. **One accounting call** for the common single-array (or 0-d NumPy
+   scalar) result: :meth:`Device.wrap_output` counts the launch and
+   adopts the buffer under one lock acquisition.  Multi-output and
+   ``Tensor`` results go through :func:`wrap_outputs`.
+4. **A small interceptor stack** — profiler, op records for gradient
+   tapes, tracing — registered as hooks rather than inlined ``if``
+   checks.  Each registration precomputes whether any member overrides
+   ``on_start`` or ``on_error``.  When none does (no interceptor at
+   all, or only the records interceptor of an open gradient tape), the
+   op runs its kernel and then calls ``on_complete`` directly: no
+   token list, no copy of the inputs.  Otherwise the generic token path
+   runs.  An open tape therefore costs one ``on_complete`` call per op,
+   not the token machinery.
 
 Devices with their own execution path (remote devices, compilation-only
 accelerators) participate through the uniform :meth:`Device.dispatch`
@@ -42,11 +58,12 @@ Registering an interceptor::
         dispatch.core.unregister_interceptor(interceptor)
 
 ``on_start`` runs immediately before the op executes and its return
-value is passed back as ``token``; ``on_complete`` runs after outputs
-exist (in registration-reverse order); ``on_error`` runs instead of
-``on_complete`` when the op raises.  ``on_staged`` observes operations
-being *staged* into a graph under construction (mode ``"stage"``),
-where there is no device or kernel.
+value is passed back as ``token`` (``None`` on the token-free path);
+``on_complete`` runs after outputs exist (in registration-reverse
+order); ``on_error`` runs instead of ``on_complete`` when the op
+raises.  ``on_staged`` observes operations being *staged* into a graph
+under construction (mode ``"stage"``), where there is no device or
+kernel.
 """
 
 from __future__ import annotations
@@ -87,7 +104,10 @@ EAGER = "eager"
 GRAPH = "graph"
 STAGE = "stage"
 
-_HANDLE_DTYPES = (dtypes.resource, dtypes.variant)
+_RESOURCE = dtypes.resource
+_VARIANT = dtypes.variant
+# NumPy dtype -> DType, for wrapping single-array kernel results.
+_NP_DTYPES = dtypes._NP_TO_DTYPE
 
 
 class OpInterceptor:
@@ -161,8 +181,12 @@ class DispatchCore:
         self.graph_interceptors: tuple = ()
         self.stage_interceptors: tuple = ()
         self.all_interceptors: tuple = ()
-        # (op_name, device_kind, input_dtypes) -> kernel
+        # (interceptors, completers) per dispatch path; see _stack().
+        self._eager_stack: tuple = ((), ())
+        self._graph_stack: tuple = ((), ())
+        # (op_name, device_kind, input_dtypes, backend) -> kernel
         self._kernel_cache: dict = {}
+        self._cpu: Optional[Device] = None  # the local CPU, bound on first use
         self._compilation_runner: Optional[Callable] = None
         registry.add_kernel_registration_listener(self.clear_kernel_cache)
 
@@ -193,6 +217,8 @@ class DispatchCore:
         self.graph_interceptors = tuple(i for i in its if GRAPH in i.modes)
         self.stage_interceptors = tuple(i for i in its if STAGE in i.modes)
         self.all_interceptors = tuple(its)
+        self._eager_stack = _stack(self.eager_interceptors)
+        self._graph_stack = _stack(self.graph_interceptors)
 
     def interceptor_names(self, mode: Optional[str] = None) -> list[str]:
         if mode is None:
@@ -286,19 +312,14 @@ class DispatchCore:
         compiled accelerators all come through here.
         """
         if mode == EAGER:
-            in_dtypes = self._validate_eager_inputs(op_name, inputs)
-            if device is None:
-                device = self.resolve_device(context.current_device_name(), inputs)
-            interceptors = self.eager_interceptors
+            in_dtypes, device = self._walk_eager_inputs(op_name, inputs, device)
+            stack = self._eager_stack
         else:
             if device is None:
                 device = self.resolve_device(explicit_device, inputs)
             in_dtypes = None
-            interceptors = self.graph_interceptors
-
-        return self._run_intercepted(
-            op_name, inputs, attrs, device, in_dtypes, interceptors
-        )
+            stack = self._graph_stack
+        return self._run_intercepted(op_name, inputs, attrs, device, in_dtypes, stack)
 
     def _run_intercepted(
         self,
@@ -307,16 +328,26 @@ class DispatchCore:
         attrs: dict,
         device: Device,
         in_dtypes: Optional[tuple],
-        interceptors: tuple,
+        stack: tuple,
     ) -> list:
         """Run one op through ``_dispatch_on`` inside an interceptor stack.
 
+        ``stack`` is an ``(interceptors, completers)`` snapshot from
+        :func:`_stack`.  With ``completers`` set (no interceptor needs
+        ``on_start``/``on_error``), the kernel runs and each completer's
+        ``on_complete`` follows with a ``None`` token; otherwise every
+        interceptor gets its ``on_start`` token back.
+
         In async mode this executes on a stream worker thread with the
-        interceptor tuple captured at submission, so profiler hooks see
-        real kernel timings regardless of which thread runs the op.
+        snapshot captured at submission, so profiler hooks see real
+        kernel timings regardless of which thread runs the op.
         """
-        if not interceptors:  # the hot path: one emptiness check
-            return self._dispatch_on(op_name, inputs, attrs, device, in_dtypes)
+        interceptors, completers = stack
+        if completers is not None:
+            outputs = self._dispatch_on(op_name, inputs, attrs, device, in_dtypes)
+            for it in completers:
+                it.on_complete(op_name, attrs, inputs, outputs, device, None)
+            return outputs
 
         tokens = [it.on_start(op_name, attrs, inputs, device) for it in interceptors]
         try:
@@ -349,8 +380,7 @@ class DispatchCore:
         Side-effecting ops additionally flush all streams first, so
         their effects happen after every previously submitted op.
         """
-        in_dtypes = self._validate_eager_inputs(op_name, inputs)
-        device = self.resolve_device(context.current_device_name(), inputs)
+        in_dtypes, device = self._walk_eager_inputs(op_name, inputs, None)
         try:
             op_def = registry.get_op_def(op_name)
         except NotFoundError:
@@ -404,12 +434,12 @@ class DispatchCore:
         else:
             # Interceptors are captured at submission and run on the
             # stream worker, so profiler hooks time the actual kernel.
-            interceptors = self.eager_interceptors
+            stack = self._eager_stack
             handle = PendingHandle(op_name)
 
             def run():
                 return self._run_intercepted(
-                    op_name, inputs, attrs, device, in_dtypes, interceptors
+                    op_name, inputs, attrs, device, in_dtypes, stack
                 )
 
             device.execution_stream().enqueue(op_name, run, handle)
@@ -442,7 +472,7 @@ class DispatchCore:
         if flush:
             sync_all_streams()
         return self._run_intercepted(
-            op_name, inputs, attrs, device, in_dtypes, self.eager_interceptors
+            op_name, inputs, attrs, device, in_dtypes, self._eager_stack
         )
 
     def _dispatch_on(
@@ -461,28 +491,73 @@ class DispatchCore:
 
         if in_dtypes is None:
             in_dtypes = tuple(t._dtype for t in inputs)
-        kernel = self.resolve_kernel(op_name, device.device_type, in_dtypes)
+        kernel = self.resolve_kernel(op_name, device._spec.device_type, in_dtypes)
 
         arrays = []
         for t in inputs:
-            if t._device is not device and t._dtype not in _HANDLE_DTYPES:
-                # Transparent cross-device input copy (paper Listing 5);
-                # resource/variant handles pass by reference, never copied.
-                buf = device.allocate(t._array)
-                t = Tensor._from_buffer(buf, t._dtype, device)
+            if t._device is not device:
+                dt = t._dtype
+                if dt is not _RESOURCE and dt is not _VARIANT:
+                    # Transparent cross-device input copy (paper Listing
+                    # 5); resource/variant handles pass by reference.
+                    t = Tensor._from_buffer(device.allocate(t._array), dt, device)
             arrays.append(t._array)
 
-        device.count_kernel_launch()
-        results = kernel(arrays, attrs, device)
-        return wrap_outputs(results, device)
+        try:
+            results = kernel(arrays, attrs, device)
+        except BaseException:
+            device.count_kernel_launch()  # a failed launch still counts
+            raise
+        if results.__class__ is np.ndarray:
+            array = results
+        elif isinstance(results, np.generic):  # 0-d NumPy scalar result
+            array = np.asarray(results)
+        else:
+            device.count_kernel_launch()
+            return wrap_outputs(results, device)
+        # The common one-array result: one accounting call (launch plus
+        # allocation stats under one lock) and a table lookup for the
+        # dtype.
+        buf = device.wrap_output(array, launches=1)
+        try:
+            dtype = _NP_DTYPES[buf.dtype]
+        except KeyError:
+            dtype = dtypes.as_dtype(buf.dtype)  # raises the usual TypeError
+        return [Tensor._from_buffer(buf, dtype, device)]
 
-    def _validate_eager_inputs(self, op_name: str, inputs: Sequence) -> tuple:
-        """Reject symbolic/non-tensor inputs; collect the dtype signature."""
-        dts = []
+    def _walk_eager_inputs(
+        self, op_name: str, inputs: Sequence, device: Optional[Device]
+    ) -> tuple:
+        """The one pass over an eager op's inputs.
+
+        Returns ``(input_dtypes, device)``: the dtype signature, and
+        ``device`` itself when the caller fixed it, else the placement
+        rule of :meth:`resolve_device` applied to the innermost
+        ``device(...)`` request and the inputs.  Symbolic and
+        non-tensor inputs raise through :meth:`_validate_eager_inputs`.
+        """
+        cpu = self._cpu
+        if cpu is None:
+            cpu = self._cpu = context.cpu_device()
+        placed = cpu
+        in_dtypes = ()
+        for t in inputs:
+            if not isinstance(t, Tensor):
+                self._validate_eager_inputs(op_name, inputs)
+            in_dtypes += (t._dtype,)
+            if placed is cpu:
+                placed = t._device
+        if device is None:
+            explicit = context.current_device_name()
+            device = placed if explicit is None else context.get_device(explicit)
+        return in_dtypes, device
+
+    def _validate_eager_inputs(self, op_name: str, inputs: Sequence) -> None:
+        """Raise for the first symbolic or non-tensor input (error branch)."""
         for t in inputs:
             if isinstance(t, Tensor):
-                dts.append(t._dtype)
-            elif isinstance(t, TensorBase):
+                continue
+            if isinstance(t, TensorBase):
                 # A symbolic tensor leaking into eager execution means the
                 # user returned a traced value out of its graph context.
                 raise FailedPreconditionError(
@@ -490,12 +565,10 @@ class DispatchCore:
                     "outside of its graph-building context. Symbolic tensors "
                     "are only usable inside the function being traced."
                 )
-            else:
-                raise InternalError(
-                    f"Operation {op_name!r} received non-tensor input {t!r}; "
-                    "API functions must convert inputs before calling execute()"
-                )
-        return tuple(dts)
+            raise InternalError(
+                f"Operation {op_name!r} received non-tensor input {t!r}; "
+                "API functions must convert inputs before calling execute()"
+            )
 
     # -- staging -----------------------------------------------------------
     def notify_staged(
@@ -523,6 +596,28 @@ class DispatchCore:
         """
         for it in self.all_interceptors:
             it.on_retry(op_name, attrs, inputs, device, attempt, exc)
+
+
+def _needs_tokens(interceptor) -> bool:
+    """Whether ``interceptor`` overrides ``on_start`` or ``on_error``."""
+    for hook in ("on_start", "on_error"):
+        if getattr(type(interceptor), hook, None) is not getattr(OpInterceptor, hook):
+            return True
+        if hook in getattr(interceptor, "__dict__", ()):
+            return True
+    return False
+
+
+def _stack(interceptors: tuple) -> tuple:
+    """The ``(interceptors, completers)`` snapshot one dispatch path runs.
+
+    ``completers`` is the stack in ``on_complete`` (reverse) order when
+    no member needs a token — the path taken with no interceptor and
+    with only a gradient tape's records interceptor — else ``None``.
+    """
+    if any(_needs_tokens(it) for it in interceptors):
+        return interceptors, None
+    return interceptors, tuple(reversed(interceptors))
 
 
 def wrap_outputs(results, device: Device) -> list:

@@ -12,8 +12,9 @@ function inspects the runtime context and either
   pluggable seam between "an eager op was requested" and "a kernel
   ran".  Three policies exist, selected by ``context.executor_mode``:
 
-  - ``sync`` — :meth:`DispatchCore.dispatch`: resolve placement, run
-    the kernel on the calling thread, return concrete tensors.
+  - ``sync`` — :meth:`DispatchCore.dispatch`: one pass over the
+    inputs (signature, validation, placement), one kernel-cache probe,
+    the kernel on the calling thread, concrete tensors back.
   - ``async`` — :meth:`DispatchCore.dispatch_async`: enqueue on the
     device's :class:`~repro.runtime.stream.ExecutionStream`, return
     pending :class:`~repro.tensor.AsyncTensor` outputs (§4.1, §4.4).

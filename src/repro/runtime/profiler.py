@@ -13,8 +13,9 @@ functions — both executors funnel through the same dispatch path:
     print(prof.summary())
 
 While no profiler is active the interceptor is not registered at all,
-so the inactive overhead is the dispatch core's single
-interceptor-stack emptiness check per op.
+so an inactive profiler adds nothing to the per-op path.  An active
+one overrides ``on_start`` (its token is the start time), so profiled
+ops take the dispatch core's token path.
 """
 
 from __future__ import annotations

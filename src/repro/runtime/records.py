@@ -12,7 +12,9 @@ Recording integrates with execution as a dispatch **interceptor**
 recorder exists anywhere in the process, a single records interceptor
 is registered with the dispatch core and forwards each eager op
 (``on_complete``) and each staged op (``on_staged``) to
-:func:`record_operation`.  When no recorder exists the interceptor is
+:func:`record_operation`.  It overrides neither
+``on_start`` nor ``on_error``, so taped eager ops stay on the dispatch
+core's token-free path.  When no recorder exists the interceptor is
 unregistered, so tape-free programs pay nothing for this hook.
 
 Recording is mode-agnostic: tapes see concrete tensors when executing
@@ -52,6 +54,8 @@ class _RecordsInterceptor(dispatch.OpInterceptor):
     name = "records"
     modes = (dispatch.EAGER, dispatch.STAGE)
 
+    # No on_start/on_error override: a taped eager op takes the dispatch
+    # core's token-free path and lands here directly after its kernel.
     def on_complete(self, op_name, attrs, inputs, outputs, device, token) -> None:
         record_operation(op_name, attrs, inputs, outputs)
 

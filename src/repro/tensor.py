@@ -86,6 +86,22 @@ def _warn_trace_specialization() -> None:
 # ops package imports this module, so the import must be deferred).
 _execute_binary = None
 
+# Interned TensorShapes of concrete tensors, keyed by the NumPy shape
+# tuple.  TensorShape is immutable and hashable, and gradient code asks
+# for the same few shapes thousands of times per step.  Bounded: the
+# table is emptied when it fills.
+_shapes: dict = {}
+_SHAPE_TABLE_LIMIT = 4096
+
+
+def _shape_of(dims: tuple) -> TensorShape:
+    shape = _shapes.get(dims)
+    if shape is None:
+        if len(_shapes) >= _SHAPE_TABLE_LIMIT:
+            _shapes.clear()
+        shape = _shapes[dims] = TensorShape(dims)
+    return shape
+
 
 class _HandleBox:
     """Opaque wrapper for resource/variant payloads inside object arrays."""
@@ -301,7 +317,7 @@ class Tensor(TensorBase):
 
     @property
     def shape(self) -> TensorShape:
-        return TensorShape(self._array.shape)
+        return _shape_of(self._array.shape)
 
     @property
     def device(self) -> str:
@@ -490,7 +506,7 @@ class PendingTensor(Tensor):
             pending = self._pending_shape
             if pending.is_fully_defined:
                 return pending
-        return TensorShape(self._array.shape)
+        return _shape_of(self._array.shape)
 
 
 class AsyncTensor(PendingTensor):

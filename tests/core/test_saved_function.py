@@ -128,6 +128,27 @@ class TestSaveLoad:
         with pytest.raises(InvalidArgumentError):
             saved_function.load(str(bad))
 
+    @pytest.mark.parametrize("batch", [None, 4])
+    def test_l2hmc_propose_roundtrip(self, tmp_path, batch):
+        # The propose trace nests an energy gradient, and graph fusion
+        # is defused for serialization: the replayed node names must
+        # stay unique or loading rewires inputs.
+        from repro import nn
+
+        energy = nn.l2hmc.gaussian_mixture_energy([[-2.0, 0.0], [2.0, 0.0]])
+        dynamics = nn.l2hmc.L2HMCDynamics(2, energy, num_steps=3, eps=0.1, seed=0)
+        rng = np.random.default_rng(0)
+        x = repro.constant(rng.standard_normal((4, 2)).astype(np.float32))
+        v = repro.constant(rng.standard_normal((4, 2)).astype(np.float32))
+        expected = [t.numpy() for t in dynamics.propose(x, v)]
+
+        propose = repro.function(dynamics.propose)
+        spec = repro.TensorSpec([batch, 2], repro.float32)
+        path = saved_function.save(propose, str(tmp_path / "propose"), spec, spec)
+        loaded = saved_function.load(path)
+        for got, want in zip(loaded(x, v), expected):
+            np.testing.assert_allclose(got.numpy(), want, rtol=1e-5, atol=1e-5)
+
 
 class TestProfiler:
     def test_collects_per_op_stats(self):

@@ -27,6 +27,21 @@ class TestBuilding:
         assert a.node.name != b.node.name
         assert a.node.name.startswith("Add")
 
+    def test_unique_name_skips_names_already_taken(self):
+        # An explicit "Neg_1" first, then two "Neg": the generated
+        # suffixes must step over the name already in use.
+        g = Graph("t")
+        x = placeholder(g, repro.float32, [2])
+        names = [g.add_operation("Neg", [x], {}, name="Neg_1")[0].node.name]
+        for _ in range(2):
+            names.append(g.add_operation("Neg", [x], {})[0].node.name)
+        assert names[0] == "Neg_1"
+        assert len(set(names)) == 3
+        # Generated names are taken too: an explicit request for one of
+        # them is uniquified in turn.
+        again = g.add_operation("Neg", [x], {}, name=names[2])[0].node.name
+        assert again not in names
+
     def test_symbolic_tensor_repr_and_name(self):
         g = Graph("t")
         x = placeholder(g, repro.float32, [2], name="input")

@@ -1,5 +1,7 @@
 """The unified dispatch core: shared placement, kernel cache, interceptors."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -149,10 +151,12 @@ class TestKernelCache:
 
 class TestInterceptors:
     def test_inactive_stack_is_empty(self):
-        """No tape, no profiler: the per-op cost is one emptiness check."""
+        """No tape, no profiler: ops take the token-free path, with
+        nothing to complete."""
         assert dispatch.core.eager_interceptors == ()
         assert dispatch.core.graph_interceptors == ()
         assert dispatch.core.stage_interceptors == ()
+        assert dispatch.core._eager_stack == ((), ())
 
     def test_ordering_start_in_order_complete_in_reverse(self, registered):
         events = []
@@ -288,6 +292,242 @@ class TestInterceptorErrorPaths:
         del y
         assert prof.ops["Add"].count == 1
         assert dispatch.core.interceptor_names() == []
+
+
+class _Completions(dispatch.OpInterceptor):
+    """Overrides only on_complete: runs on the token-free path."""
+
+    name = "completions"
+
+    def __init__(self):
+        self.seen = []
+
+    def on_complete(self, op_name, attrs, inputs, outputs, device, token):
+        assert token is None
+        self.seen.append(op_name)
+
+
+@pytest.mark.usefixtures("sync_mode")
+class TestThinEagerPath:
+    """Conformance of the one-pass, token-free sync eager path."""
+
+    @pytest.fixture
+    def sync_mode(self):
+        with repro.execution_mode("sync"):
+            yield
+
+    def test_interceptor_registered_between_ops_sees_second_op(self, registered):
+        x = repro.constant(1.0)
+        repro.add(x, x)
+        seen = _Completions()
+        registered(seen)
+        assert dispatch.core._eager_stack[1] == (seen,)  # token-free
+        repro.multiply(x, x)
+        assert seen.seen == ["Mul"]
+
+    def test_on_start_override_gets_token_and_on_error(self, registered):
+        events = []
+        registered(_Tracing("t", events))
+        assert dispatch.core._eager_stack[1] is None  # token path
+        a = repro.constant([[1.0, 2.0]])
+        with repro.GradientTape() as tape:  # records rides the token path
+            tape.watch(a)
+            repro.add(a, a)
+            with pytest.raises(ValueError):
+                repro.matmul(a, a)  # incompatible shapes
+        assert events == [
+            ("t", "start", "Add"),
+            ("t", "complete", "Add"),
+            ("t", "start", "MatMul"),
+            ("t", "error", "MatMul"),
+        ]
+
+    def test_on_error_only_override_takes_token_path(self, registered):
+        class ErrorsOnly(dispatch.OpInterceptor):
+            name = "errors-only"
+
+            def __init__(self):
+                self.errors = []
+
+            def on_error(self, op_name, attrs, inputs, device, token, exc):
+                self.errors.append((op_name, type(exc)))
+
+        it = ErrorsOnly()
+        registered(it)
+        assert dispatch.core._eager_stack[1] is None
+        a = repro.constant([[1.0, 2.0]])
+        with pytest.raises(ValueError):
+            repro.matmul(a, a)
+        assert it.errors == [("MatMul", ValueError)]
+
+    def test_raising_kernel_still_counts_its_launch(self):
+        cpu = context.cpu_device()
+        a = repro.constant([[1.0, 2.0]])
+        before = cpu.memory_stats()
+        with pytest.raises(ValueError):
+            repro.matmul(a, a)
+        after = cpu.memory_stats()
+        assert after["kernel_launches"] - before["kernel_launches"] == 1
+        assert after["num_allocations"] == before["num_allocations"]
+
+    @pytest.fixture
+    def in_process_gpu(self):
+        """GPU kernels in this process (process devices keep their own stats)."""
+        enabled = context.process_devices
+        context.process_devices = False
+        yield
+        context.process_devices = enabled
+
+    @pytest.mark.usefixtures("in_process_gpu")
+    def test_memory_stats_for_fixed_op_sequence(self):
+        from repro.framework import dtypes
+        from repro.runtime.executor import execute
+
+        cpu = context.get_device("/cpu:0")
+        gpu = context.get_device("/gpu:0")
+        a = repro.constant(np.float32(1.5))
+        m = repro.constant(np.arange(6, dtype=np.float32).reshape(3, 2))
+        var = repro.Variable([1.0, 2.0])
+        for d in (cpu, gpu):
+            d.reset_stats()
+        keep = [repro.add(a, a)]  # 0-d NumPy scalar kernel result
+        assert keep[0].shape.as_list() == [] and keep[0].dtype is repro.float32
+        keep += list(repro.unstack(m))  # multi-output kernel result
+        keep.append(  # resource-producing op: the kernel returns a Tensor
+            execute("HandleConst", [], {"handle": var.handle, "dtype": dtypes.resource})
+        )
+        with repro.device("/gpu:0"):
+            keep.append(repro.multiply(m, m))  # two cross-device input copies
+            keep.append(var.read_value())  # the handle passes by reference
+        # Values of the dispatch path before it was thinned, unchanged.
+        assert cpu.memory_stats() == {
+            "bytes_in_use": 28,
+            "peak_bytes": 28,
+            "num_allocations": 4,
+            "kernel_launches": 3,
+        }
+        assert gpu.memory_stats() == {
+            "bytes_in_use": 80,
+            "peak_bytes": 80,
+            "num_allocations": 4,
+            "kernel_launches": 2,
+        }
+
+    def test_launch_and_allocation_stats_exact_under_threads(self):
+        # wrap_output updates four counters under one lock: a lost
+        # update between threads would break these totals.
+        import threading
+
+        cpu = context.cpu_device()
+        x = repro.constant(np.float32(1.0))
+        n_threads, n_ops = 8, 200
+        before = cpu.memory_stats()
+
+        def worker():
+            for _ in range(n_ops):
+                repro.add(x, x)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        after = cpu.memory_stats()
+        total = n_threads * n_ops
+        assert after["kernel_launches"] - before["kernel_launches"] == total
+        assert after["num_allocations"] - before["num_allocations"] == total
+        assert after["bytes_in_use"] - before["bytes_in_use"] == 4 * total
+
+    def test_symbolic_input_rejected_with_unchanged_message(self):
+        from repro.framework.errors import FailedPreconditionError
+
+        g = Graph("leak")
+        sym = placeholder(g, repro.float32, [], name="s")
+        x = repro.constant(1.0)
+        for submit in (dispatch.core.dispatch, dispatch.core.dispatch_async):
+            with pytest.raises(FailedPreconditionError) as info:
+                submit("Add", [x, sym], {})
+            assert str(info.value) == (
+                f"Operation 'Add' received the symbolic tensor {sym!r} "
+                "outside of its graph-building context. Symbolic tensors "
+                "are only usable inside the function being traced."
+            )
+
+    def test_non_tensor_input_rejected_with_unchanged_message(self):
+        from repro.framework.errors import InternalError
+
+        x = repro.constant(1.0)
+        for submit in (dispatch.core.dispatch, dispatch.core.dispatch_async):
+            with pytest.raises(InternalError) as info:
+                submit("Add", [x, 2.0], {})
+            assert str(info.value) == (
+                "Operation 'Add' received non-tensor input 2.0; "
+                "API functions must convert inputs before calling execute()"
+            )
+
+    def test_kernel_backend_flip_re_resolves_kernel(self):
+        from repro.backend.tracked import TRACKED_BACKEND
+
+        x = repro.constant(np.ones(3, dtype=np.float32))
+        assert repro.add(x, x).backend == "numpy"
+        try:
+            context.kernel_backend = "tracked"
+            TRACKED_BACKEND.reset_stats()
+            out = repro.add(x, x)
+            assert out.backend == "tracked"
+            assert TRACKED_BACKEND.primitive_calls["Add"] == 1
+        finally:
+            context.kernel_backend = "numpy"
+        assert repro.add(x, x).backend == "numpy"
+        assert TRACKED_BACKEND.primitive_calls["Add"] == 1
+
+
+def _profile_events(fn) -> int:
+    """``call`` plus ``c_call`` profiler events of one ``fn()``."""
+    count = 0
+
+    def profiler(frame, event, arg):
+        nonlocal count
+        if event in ("call", "c_call"):
+            count += 1
+
+    sys.setprofile(profiler)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return count - 1  # the sys.setprofile(None) call itself
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="Python-call budgets are pinned for CPython 3.11, the CI version",
+)
+class TestCallBudget:
+    """A deterministic guard on the thin eager path: Python-level calls
+    for one warm sync scalar ``Add`` (58 and 79 before thinning)."""
+
+    def _add_events(self, x) -> int:
+        add = repro.add
+        add(x, x)  # warm the kernel cache
+        return _profile_events(lambda: add(x, x)) - 1  # minus the lambda
+
+    def test_untaped_scalar_add(self):
+        x = repro.constant(np.float32(1.0))
+        with repro.execution_mode("sync"):
+            assert self._add_events(x) <= 35
+
+    def test_taped_scalar_add(self):
+        x = repro.constant(np.float32(1.0))
+        with repro.execution_mode("sync"), repro.GradientTape() as tape:
+            tape.watch(x)
+            assert self._add_events(x) <= 50
 
 
 class TestDeviceDispatchProtocol:
